@@ -9,7 +9,11 @@ A round is 40 distinct cells: every program twice, every tool three or
 four times, every opt level eight times.  The cells of a round
 are fixed; the seed orders them.  A later round (a run does one unless
 a round takes less than ``--seconds``) has cells of its own, so no cell
-repeats within a run and nothing is warm for it.
+repeats within a run and no artifact of one is reused.  The machine's
+process-wide code caches (``cpu._SB_CACHE``, ``jit._JIT_CACHE``) are
+left as they are: the traced run reports the share of superblock and
+JIT-region builds they serve (``machine.sb_cache_pct``,
+``machine.jit_cache_pct``).
 """
 
 from __future__ import annotations
@@ -64,17 +68,19 @@ class Setup:
     """Uninstrumented expectations for every program: compiled and run
     once, and checked against the Python recomputation."""
 
-    def __init__(self, layers):
+    def __init__(self, layers, lap):
         self.base = {}
         self.problems = []
         for program in oracle.PROGRAM_NAMES:
             cell = Cell(program, "", "", ARGS[program])
             self.base[program], problems = base_run(cell, layers)
             self.problems += problems
+            lap()
 
 
 def run(seed: int, seconds: float, layers, setups: int) -> dict:
-    setup, setup_s = median_setup(lambda: Setup(layers), setups, layers)
+    setup, setup_s = median_setup(lambda lap: Setup(layers, lap), setups,
+                                   layers)
     round0 = set(design(0))
     first = {}
 
@@ -84,8 +90,6 @@ def run(seed: int, seconds: float, layers, setups: int) -> dict:
         instr = load_and_run(module, cell.arg, layers)
 
         def check():
-            layers.add("machine.jit_regions", instr.jit_stats["jit_regions"])
-            layers.add("machine.jit_denied", instr.jit_stats["jit_denied"])
             if cell in round0:
                 first[cell] = First(instr.cycles, instr.inst_count, built)
             return check_instrumented(cell, setup.base[cell.program], instr)

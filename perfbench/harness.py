@@ -63,17 +63,6 @@ def host_sample() -> float:
             gc.enable()
 
 
-class _NullTimer:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL = _NullTimer()
-
-
 class _Timer:
     __slots__ = ("layers", "name", "t0")
 
@@ -110,7 +99,7 @@ class Layers:
 
     def time(self, name: str):
         if not self.enabled:
-            return _NULL
+            return contextlib.nullcontext()
         return _Timer(self, name)
 
     def add(self, name: str, value: float) -> None:
@@ -187,10 +176,37 @@ def proc_peak_rss_mb(pid: int) -> float:
     return 0.0
 
 
-def median_setup(setup, repeats: int, layers: Layers):
-    """Run ``setup()`` ``repeats`` times; keep the last state.
+class Clock:
+    """Elapsed time at the reference host speed, measured in laps.
 
-    ``setup`` returns a state object; each earlier state is released
+    Each lap is scaled by the mean of the kernel's times at its two
+    ends, as an operation is; the kernel runs between laps, outside the
+    time.  A set-up of several seconds calls ``lap`` between its steps,
+    so that a change of host speed within it is followed step by step.
+    """
+
+    def __init__(self, layers: Layers):
+        self.layers = layers
+        self.raw = self.scaled = 0.0
+        self._kernel = host_sample()
+        layers.scale = KERNEL_REF_S / self._kernel
+        self._t0 = time.perf_counter()
+
+    def lap(self) -> None:
+        elapsed = time.perf_counter() - self._t0
+        kernel = host_sample()
+        self.raw += elapsed
+        self.scaled += elapsed * KERNEL_REF_S / ((self._kernel + kernel) / 2)
+        self._kernel = kernel
+        self.layers.scale = KERNEL_REF_S / kernel
+        self._t0 = time.perf_counter()
+
+
+def median_setup(setup, repeats: int, layers: Layers):
+    """Run ``setup(lap)`` ``repeats`` times; keep the last state.
+
+    ``setup`` calls ``lap()`` between its steps (see ``Clock``) and
+    returns a state object; each earlier state is released
     (``state.close()`` when it has one) before the next set-up starts.
     Returns (state, median seconds at the reference host speed).
     """
@@ -200,13 +216,11 @@ def median_setup(setup, repeats: int, layers: Layers):
         if state is not None and hasattr(state, "close"):
             state.close()
         state = None
-        before = host_sample()
-        layers.scale = KERNEL_REF_S / before
-        t0 = time.perf_counter()
-        state = setup()
-        raw.append(time.perf_counter() - t0)
-        times.append(raw[-1] * KERNEL_REF_S
-                     / ((before + host_sample()) / 2))
+        clock = Clock(layers)
+        state = setup(clock.lap)
+        clock.lap()
+        raw.append(clock.raw)
+        times.append(clock.scaled)
     report("set-ups took " + ", ".join(f"{t:.2f}" for t in raw)
            + " s (scaled: " + ", ".join(f"{t:.2f}" for t in times) + ")")
     return state, statistics.median(times)

@@ -89,7 +89,22 @@ def instrument(cell: Cell, exe, layers):
 def load_and_run(module, arg: int, layers) -> RunResult:
     with layers.time("machine.load_ms"):
         machine = Machine(module, args=(str(arg),))
-    return machine.run()
+    result = machine.run()
+    note_run(machine, result, layers)
+    return result
+
+
+def note_run(machine: Machine, result: RunResult, layers) -> None:
+    """Record the run's JIT counts, and how many of its superblock and
+    JIT-region builds the process-wide code caches served."""
+    jit = result.jit_stats or {}
+    layers.add("machine.jit_regions", jit.get("jit_regions", 0))
+    layers.add("machine.jit_denied", jit.get("jit_denied", 0))
+    layers.add("machine.sb_builds", machine.cpu.sb_compiled)
+    layers.add("machine.sb_cache_hits", machine.cpu.sb_cache_hits)
+    layers.add("machine.jit_builds", jit.get("jit_compiled", 0)
+               + jit.get("jit_cache_hits", 0))
+    layers.add("machine.jit_cache_hits", jit.get("jit_cache_hits", 0))
 
 
 def base_run(cell: Cell, layers) -> tuple[RunResult, list[str]]:

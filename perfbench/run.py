@@ -42,6 +42,7 @@ PER_LAYER = {
     "machine.minst_per_s.loops": "Minst/s",
     "machine.guest_minsts": "Minst",
     "machine.jit_regions": "count", "machine.jit_denied": "count",
+    "machine.sb_cache_pct": "%", "machine.jit_cache_pct": "%",
     "eval.task_ms": "ms", "eval.instr_compiles": "count",
     "eval.cache_hits": "count",
     "serve.roundtrip_ms.eval": "ms", "serve.roundtrip_ms.run": "ms",
@@ -52,7 +53,7 @@ PER_LAYER = {
 }
 
 #: Set-ups per run; setup_s is their median.
-SETUPS = 3
+SETUPS = 5
 
 
 def main(argv=None) -> int:
@@ -83,6 +84,10 @@ def main(argv=None) -> int:
         known["trace.op_p50_ms"] = statistics.median(timed.latencies_ms) \
             if timed.latencies_ms else 0.0
         known["host.kernel_ms"] = statistics.median(timed.kernel_s) * 1e3
+        for cache in ("sb", "jit"):
+            builds = layers.total(f"machine.{cache}_builds")
+            known[f"machine.{cache}_cache_pct"] = 100 * layers.total(
+                f"machine.{cache}_cache_hits") / builds if builds else 0.0
         metrics = {name: (known[name] if name in known
                           else layers.median(name), unit)
                    for name, unit in PER_LAYER.items()}

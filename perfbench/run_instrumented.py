@@ -21,7 +21,8 @@ from repro.objfile.module import Module
 
 from harness import Run, median_setup, self_peak_rss_mb
 from pipeline import (Cell, First, base_run, check_instrumented,
-                      compile_program, instrument, load_and_run, totals)
+                      compile_program, instrument, load_and_run, note_run,
+                      totals)
 
 #: An odd number of cells: with an even one the median latency falls
 #: between two cells' samples and jumps with noise.
@@ -40,7 +41,7 @@ class Setup:
     The uninstrumented runs the checks compare against are made once,
     before the set-ups are timed."""
 
-    def __init__(self, base, layers):
+    def __init__(self, base, layers, lap):
         self.blobs = {}
         self.first = {}
         self.problems = []
@@ -48,7 +49,9 @@ class Setup:
             module, built = instrument(
                 cell, compile_program(cell.program, layers), layers)
             self.blobs[cell] = module.to_bytes()
+            lap()
             instr = load_and_run(module, cell.arg, layers)
+            lap()
             self.first[cell] = First(instr.cycles, instr.inst_count, built)
             self.problems += check_instrumented(cell, base[cell], instr)
 
@@ -58,8 +61,8 @@ def run(seed: int, seconds: float, layers, setups: int) -> dict:
     for cell in CELLS:
         base[cell], found = base_run(cell, layers)
         problems += found
-    setup, setup_s = median_setup(lambda: Setup(base, layers), setups,
-                                  layers)
+    setup, setup_s = median_setup(lambda lap: Setup(base, layers, lap),
+                                  setups, layers)
     rng = random.Random(f"run-instrumented:{seed}")
     insts = {"calls": 0, "loops": 0}
 
@@ -73,8 +76,7 @@ def run(seed: int, seconds: float, layers, setups: int) -> dict:
 
         def check():
             insts[kind] += instr.inst_count
-            layers.add("machine.jit_regions", instr.jit_stats["jit_regions"])
-            layers.add("machine.jit_denied", instr.jit_stats["jit_denied"])
+            note_run(machine, instr, layers)
             return check_instrumented(cell, base[cell], instr)
         return check
 

@@ -93,7 +93,7 @@ class Daemon:
     """One ``wrl-serve`` process with a single worker, warmed up."""
 
     def __init__(self, workdir: str, index: int, ref: Reference, layers,
-                 beta: list, problems: list):
+                 beta: list, problems: list, lap):
         self.ref = ref
         self.layers = layers
         base = os.path.join(workdir, f"daemon{index}")
@@ -114,12 +114,14 @@ class Daemon:
         self.client = ServeClient(self.socket, timeout=120.0)
         try:
             self._wait_ready()
+            lap()
             # Beta first, in its cyclic order: its requests compile the
             # analysis units, so alpha's namespace holds only what alpha
             # reads back, and beta's next request is already evicted.
             for request in beta + [("eval", "alpha", ALPHA_EVAL),
                                    ("run", "alpha", ALPHA_RUN)]:
                 problems += self.request(request)()
+                lap()
         except BaseException:
             self.close()
             raise
@@ -277,8 +279,8 @@ def run(seed: int, seconds: float, layers, setups: int) -> dict:
         count = iter(range(setups))
         problems = ref.problems
         daemon, setup_s = median_setup(
-            lambda: Daemon(workdir, next(count), ref, layers, beta,
-                           problems), setups, layers)
+            lambda lap: Daemon(workdir, next(count), ref, layers, beta,
+                               problems, lap), setups, layers)
         batches = daemon.client.stats()["batches"]
         timed = Run(seconds, layers)
         layers.phase = "timed"

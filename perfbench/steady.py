@@ -5,11 +5,11 @@ metric's median, quartiles and spread against its bound.
 
 The spread is the distance between the first and third quartile
 (``statistics.quantiles(values, n=4)``) as a share of the median.  A
-workload is steady when every end-to-end spread except that of
-``setup_s`` is below a third of the metric's bound in BENCHMARK.json;
-the last line says so.  ``--trace 1`` runs the traced mode and prints
-the per-layer metrics (they have no bound).  ``--out`` keeps every run's
-result line as JSON.
+workload is steady when every end-to-end spread is below a third of the
+metric's bound in BENCHMARK.json; the last line says so.  The wall time
+of each run, set-up included, is printed too.  ``--trace 1`` runs the
+traced mode and prints the per-layer metrics (they have no bound).
+``--out`` keeps every run's result line as JSON.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ import os
 import statistics
 import subprocess
 import sys
+import time
+
+from harness import quartiles
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -27,7 +30,7 @@ ROOT = os.path.dirname(HERE)
 
 def spread(values: list[float]) -> tuple[float, float, float, float]:
     """(q1, median, q3, (q3 - q1) / median)."""
-    q1, median, q3 = statistics.quantiles(values, n=4)
+    q1, median, q3 = quartiles(values)
     return q1, median, q3, (q3 - q1) / median if median else 0.0
 
 
@@ -49,8 +52,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=workloads)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int,
-                        default=bench["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="write every result line here")
     args = parser.parse_args(argv)
@@ -60,8 +61,11 @@ def main(argv=None) -> int:
     results = []
     for i in range(args.runs):
         seed = args.first_seed + i
-        result = run_once(args.workload, seed, args.seconds, args.trace)
-        results.append({"seed": seed, **result})
+        t0 = time.monotonic()
+        result = run_once(args.workload, seed, bench["run_seconds"],
+                          args.trace)
+        results.append({"seed": seed,
+                        "wall_s": time.monotonic() - t0, **result})
         print(f"seed {seed}: correct={result['correct']} "
               f"attempted={result['attempted']} failed={result['failed']}",
               file=sys.stderr, flush=True)
@@ -74,6 +78,9 @@ def main(argv=None) -> int:
     shares = {r["failed"] / r["attempted"] for r in results}
     print(f"{args.workload}: {args.runs} runs, failed share "
           f"{sorted(shares)}, all correct: {steady}")
+    walls = [r["wall_s"] for r in results]
+    print(f"wall time per run: {min(walls):.1f}-{max(walls):.1f} s "
+          f"(median {statistics.median(walls):.1f} s)")
     print(f"{'metric':28s} {'unit':8s} {'q1':>12s} {'median':>12s} "
           f"{'q3':>12s} {'spread':>7s} {'bound':>6s}")
     for name, entry in results[0]["metrics"].items():
@@ -83,7 +90,7 @@ def main(argv=None) -> int:
         mark = ""
         if bound is not None:
             mark = f"{bound:6.2f}"
-            if name != "setup_s" and share >= bound / 3:
+            if share >= bound / 3:
                 mark += "  too wide"
                 steady = False
         print(f"{name:28s} {entry['unit']:8s} {q1:12.4f} {median:12.4f} "
